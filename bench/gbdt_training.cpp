@@ -1,14 +1,16 @@
 // GBDT training bench: (1) Soft-MAE on the canonical leak campaign for
 // the gradient-boosted ensemble vs the single-tree and bagged baselines —
 // the headline is the boosted model beating the single REP-Tree's S-MAE —
-// and (2) fit-time scaling of the leaf-wise histogram booster against
-// REP-Tree (histogram engine), M5P, and bagged trees on synthetic data.
+// (2) fit-time scaling of the leaf-wise histogram booster against
+// REP-Tree (histogram engine), M5P, and bagged trees on synthetic data, and
+// (3) predict cost of the compiled forest: predict_row and batched predict
+// ns/row for the default 100-round gbdt and a histogram REP-Tree.
 //
 // Emits BENCH_gbdt_training.json next to the binary: per-model S-MAE on
-// the campaign, per-config fit timings (min over reps), and the headline
-// S-MAE delta (reptree - gbdt, positive = GBDT wins). `--smoke` shrinks
-// the synthetic sizes and the boosting schedule so CI exercises the full
-// code path in seconds.
+// the campaign, per-config fit timings (min over reps), per-config predict
+// ns/row (min over reps), and the headline S-MAE delta (reptree - gbdt,
+// positive = GBDT wins). `--smoke` shrinks the synthetic sizes and the
+// boosting schedule so CI exercises the full code path in seconds.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -58,7 +60,8 @@ struct Result {
   std::string impl;
   std::size_t n = 0;
   double seconds = 0.0;
-  double metric = 0.0;  ///< S-MAE for campaign rows, MAE for scaling rows.
+  /// S-MAE for campaign rows, MAE for scaling rows, ns/row for predict rows.
+  double metric = 0.0;
 };
 
 std::vector<Result> g_results;
@@ -127,6 +130,24 @@ void scaling_row(const char* impl, Model& model, std::size_t reps,
   record(r);
 }
 
+/// Times predict_row over every row of `x` and one batched predict(x),
+/// each the fastest of `reps` passes, and records ns/row for both.
+void predict_rows(const char* impl, const ml::Regressor& model,
+                  std::size_t reps, const linalg::Matrix& x) {
+  double sink = 0.0;
+  const double row_s = timed_min(reps, [&] {
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      sink += model.predict_row(x.row(r));
+    }
+  });
+  const double batch_s =
+      timed_min(reps, [&] { sink += model.predict(x).back(); });
+  benchmark::DoNotOptimize(sink);
+  const double rows = static_cast<double>(x.rows());
+  record({"predict_row_ns", impl, x.rows(), row_s, row_s * 1e9 / rows});
+  record({"predict_batch_ns", impl, x.rows(), batch_s, batch_s * 1e9 / rows});
+}
+
 void write_json(double gbdt_smae, double reptree_smae) {
   std::FILE* out = std::fopen("BENCH_gbdt_training.json", "w");
   if (out == nullptr) return;
@@ -172,6 +193,7 @@ void run_all(bool smoke) {
       smoke ? std::vector<std::size_t>{500}
             : std::vector<std::size_t>{2000, 20000};
   const std::size_t reps = smoke ? 1 : 3;
+  const std::size_t predict_reps = smoke ? 1 : 5;
   const std::size_t rounds_short = smoke ? 10 : 50;
   const std::size_t rounds_long = smoke ? 20 : 200;
   for (const std::size_t n : sizes) {
@@ -188,6 +210,7 @@ void run_all(bool smoke) {
     tree_options.min_instances_per_leaf = 25;
     ml::RepTree reptree(tree_options);
     scaling_row("reptree_hist", reptree, reps, x, y, x_val, y_val);
+    predict_rows("reptree_hist", reptree, predict_reps, x);
 
     ml::M5P m5p;
     scaling_row("m5p", m5p, reps, x, y, x_val, y_val);
@@ -208,6 +231,12 @@ void run_all(bool smoke) {
       scaling_row(("gbdt_" + std::to_string(rounds)).c_str(), gbdt, reps, x,
                   y, x_val, y_val);
     }
+
+    // The served configuration: registry-default gbdt (100 rounds, depth
+    // 6, 31 leaves).
+    ml::GbdtRegressor served;
+    served.fit(x, y);
+    predict_rows("gbdt_default", served, predict_reps, x);
   }
 
   std::printf("\ncampaign S-MAE: gbdt %.3fs vs reptree %.3fs (delta %+.3fs, "

@@ -24,8 +24,7 @@ BaggedTrees::BaggedTrees(BaggedTreesOptions options)
 
 void BaggedTrees::fit(const linalg::Matrix& x, std::span<const double> y) {
   check_fit_args(x, y);
-  trees_.clear();
-  num_inputs_ = x.cols();
+  forest_ = CompiledForest();
   const std::size_t n = x.rows();
   const auto sample_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(n) *
@@ -70,29 +69,25 @@ void BaggedTrees::fit(const linalg::Matrix& x, std::span<const double> y) {
     parallel::ThreadPool pool(options_.fit_workers);
     parallel::parallel_for(pool, 0, options_.num_trees, fit_one);
   }
-  trees_ = std::move(trees);
+  CompiledForest forest(x.cols(), 0.0);
+  for (const auto& tree : trees) forest.append(tree->forest());
+  forest_ = std::move(forest);
 }
 
 double BaggedTrees::predict_row(std::span<const double> row) const {
   check_predict_args(row);
-  double sum = 0.0;
-  for (const auto& tree : trees_) sum += tree->predict_row(row);
-  return sum / static_cast<double>(trees_.size());
+  return forest_.predict_row(row.data()) /
+         static_cast<double>(forest_.num_trees());
 }
 
 std::vector<double> BaggedTrees::predict(const linalg::Matrix& x) const {
-  if (trees_.empty()) throw std::logic_error("Regressor: predict before fit");
-  if (x.cols() != num_inputs_) {
+  if (!is_fitted()) throw std::logic_error("Regressor: predict before fit");
+  if (x.cols() != num_inputs()) {
     throw std::invalid_argument("Regressor: input width mismatch");
   }
-  // Accumulate the member trees' batched predictions in tree order — the
-  // same summation order as predict_row, so the results agree bit-for-bit.
-  std::vector<double> sums(x.rows(), 0.0);
-  for (const auto& tree : trees_) {
-    const std::vector<double> preds = tree->predict(x);
-    for (std::size_t r = 0; r < sums.size(); ++r) sums[r] += preds[r];
-  }
-  const auto count = static_cast<double>(trees_.size());
+  std::vector<double> sums(x.rows());
+  forest_.predict(x, sums);
+  const auto count = static_cast<double>(forest_.num_trees());
   for (auto& value : sums) value /= count;
   return sums;
 }
@@ -102,12 +97,11 @@ BaggedTrees::Prediction BaggedTrees::predict_with_uncertainty(
   check_predict_args(row);
   double sum = 0.0;
   double sum_sq = 0.0;
-  for (const auto& tree : trees_) {
-    const double value = tree->predict_row(row);
+  forest_.for_each_leaf(row.data(), [&](double value) {
     sum += value;
     sum_sq += value * value;
-  }
-  const auto n = static_cast<double>(trees_.size());
+  });
+  const auto n = static_cast<double>(forest_.num_trees());
   Prediction prediction;
   prediction.mean = sum / n;
   const double variance = sum_sq / n - prediction.mean * prediction.mean;
@@ -116,20 +110,13 @@ BaggedTrees::Prediction BaggedTrees::predict_with_uncertainty(
 }
 
 void BaggedTrees::save(util::BinaryWriter& writer) const {
-  if (trees_.empty()) throw std::logic_error("BaggedTrees::save before fit");
-  writer.write_u64(num_inputs_);
-  writer.write_u64(trees_.size());
-  for (const auto& tree : trees_) tree->save(writer);
+  if (!is_fitted()) throw std::logic_error("BaggedTrees::save before fit");
+  forest_.save(writer);
 }
 
 std::unique_ptr<BaggedTrees> BaggedTrees::load(util::BinaryReader& reader) {
   auto model = std::make_unique<BaggedTrees>();
-  model->num_inputs_ = reader.read_u64();
-  const std::uint64_t count = reader.read_u64();
-  if (count == 0) throw std::runtime_error("BaggedTrees::load: empty ensemble");
-  for (std::uint64_t t = 0; t < count; ++t) {
-    model->trees_.push_back(RepTree::load(reader));
-  }
+  model->forest_ = CompiledForest::load(reader);
   return model;
 }
 

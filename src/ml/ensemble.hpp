@@ -34,18 +34,25 @@ class BaggedTrees final : public Regressor {
 
   void fit(const linalg::Matrix& x, std::span<const double> y) override;
   [[nodiscard]] double predict_row(std::span<const double> row) const override;
-  /// Batched prediction: accumulates the member trees' batched predictions
-  /// in tree order, so it matches predict_row per row exactly.
+  /// Batched prediction: the forest's lockstep kernel sums the members in
+  /// tree order, so it matches predict_row per row exactly.
   [[nodiscard]] std::vector<double> predict(
       const linalg::Matrix& x) const override;
   [[nodiscard]] std::string name() const override { return "bagging"; }
-  [[nodiscard]] bool is_fitted() const override { return !trees_.empty(); }
-  [[nodiscard]] std::size_t num_inputs() const override { return num_inputs_; }
+  [[nodiscard]] bool is_fitted() const override {
+    return forest_.num_trees() > 0;
+  }
+  [[nodiscard]] std::size_t num_inputs() const override {
+    return forest_.num_inputs();
+  }
   void save(util::BinaryWriter& writer) const override;
   static std::unique_ptr<BaggedTrees> load(util::BinaryReader& reader);
 
   [[nodiscard]] const BaggedTreesOptions& options() const { return options_; }
-  [[nodiscard]] std::size_t num_trees() const { return trees_.size(); }
+  [[nodiscard]] std::size_t num_trees() const { return forest_.num_trees(); }
+  /// The member trees as one forest (base +0.0: a prediction is the
+  /// members' sum in tree order divided by num_trees()).
+  [[nodiscard]] const CompiledForest& forest() const { return forest_; }
 
   /// Ensemble prediction with spread: the mean and standard deviation of
   /// the member trees' predictions. The spread is a cheap epistemic-
@@ -60,8 +67,7 @@ class BaggedTrees final : public Regressor {
 
  private:
   BaggedTreesOptions options_;
-  std::vector<std::unique_ptr<RepTree>> trees_;
-  std::size_t num_inputs_ = 0;
+  CompiledForest forest_;
 };
 
 }  // namespace f2pm::ml

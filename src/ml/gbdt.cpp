@@ -157,7 +157,8 @@ GbdtRegressor::GbdtRegressor(GbdtOptions options) : options_(options) {
   }
 }
 
-GbdtRegressor::Tree GbdtRegressor::grow_tree(TreeGrowthEngine& engine) const {
+std::vector<CompiledForest::BuildNode> GbdtRegressor::grow_tree(
+    TreeGrowthEngine& engine) const {
   // Leaf-wise (best-first) growth: a max-heap of splittable leaves ordered
   // by SSE gain; each step converts the best leaf into an internal node.
   // Per-node best splits are independent of expansion order (each node's
@@ -165,7 +166,7 @@ GbdtRegressor::Tree GbdtRegressor::grow_tree(TreeGrowthEngine& engine) const {
   // grows exactly the depth-first tree — the REPTree equivalence relies on
   // that. Ties break on creation order, keeping the fit fully
   // deterministic.
-  Tree tree;
+  std::vector<CompiledForest::BuildNode> nodes;
   struct Cand {
     double score = 0.0;
     std::uint64_t seq = 0;
@@ -186,12 +187,12 @@ GbdtRegressor::Tree GbdtRegressor::grow_tree(TreeGrowthEngine& engine) const {
 
   const auto add_node = [&](TreeGrowthEngine::NodeId enode) {
     const Moments moments = engine.moments(enode);
-    Node node;
+    CompiledForest::BuildNode node;
     // Leaf values carry the shrinkage already applied, so prediction is a
     // plain sum and serialization needs no learning-rate replay.
     node.value = lr * moments.mean();
-    const std::size_t id = tree.nodes.size();
-    tree.nodes.push_back(node);
+    const std::size_t id = nodes.size();
+    nodes.push_back(node);
     return std::pair<std::size_t, Moments>{id, moments};
   };
   const auto consider = [&](std::size_t id, TreeGrowthEngine::NodeId enode,
@@ -220,10 +221,10 @@ GbdtRegressor::Tree GbdtRegressor::grow_tree(TreeGrowthEngine& engine) const {
     const auto [left_e, right_e] = engine.apply_split(cand.enode, cand.split);
     const auto [left_id, left_moments] = add_node(left_e);
     const auto [right_id, right_moments] = add_node(right_e);
-    tree.nodes[cand.node].feature = cand.split.feature;
-    tree.nodes[cand.node].threshold = cand.split.threshold;
-    tree.nodes[cand.node].left = left_id;
-    tree.nodes[cand.node].right = right_id;
+    nodes[cand.node].feature = cand.split.feature;
+    nodes[cand.node].threshold = cand.split.threshold;
+    nodes[cand.node].left = left_id;
+    nodes[cand.node].right = right_id;
     ++leaves;
     consider(left_id, left_e, left_moments, cand.depth + 1);
     consider(right_id, right_e, right_moments, cand.depth + 1);
@@ -232,17 +233,7 @@ GbdtRegressor::Tree GbdtRegressor::grow_tree(TreeGrowthEngine& engine) const {
     engine.release(frontier.top().enode);
     frontier.pop();
   }
-  return tree;
-}
-
-double GbdtRegressor::tree_value(const Tree& tree, const double* row) {
-  const Node* nodes = tree.nodes.data();
-  std::size_t id = 0;
-  while (nodes[id].left != kNoNode) {
-    const Node& node = nodes[id];
-    id = row[node.feature] <= node.threshold ? node.left : node.right;
-  }
-  return nodes[id].value;
+  return nodes;
 }
 
 void GbdtRegressor::fit(const linalg::Matrix& x, std::span<const double> y) {
@@ -252,11 +243,10 @@ void GbdtRegressor::fit(const linalg::Matrix& x, std::span<const double> y) {
       "Tree-learner fit wall-clock time (growth engine).",
       obs::Histogram::default_latency_bounds(), "model=\"gbdt\"");
   const obs::ScopedTimer fit_timer(fit_hist);
-  trees_.clear();
   loss_history_.clear();
   fitted_ = false;
-  num_inputs_ = x.cols();
   const std::size_t n = x.rows();
+  const std::size_t num_features = x.cols();
 
   // Every random decision is drawn from the master stream up front — the
   // holdout split first, then one (row, feature) seed pair per round — so
@@ -293,14 +283,14 @@ void GbdtRegressor::fit(const linalg::Matrix& x, std::span<const double> y) {
   const std::shared_ptr<const FeatureBinning> binning = shared_binning(
       x, options_.histogram_bins, options_.bin_mode, options_.reuse_bins);
 
-  if (options_.base_score == GbdtOptions::BaseScore::kZero) {
-    base_score_ = 0.0;
-  } else {
+  double base_score = 0.0;
+  if (options_.base_score == GbdtOptions::BaseScore::kMean) {
     Moments m;
     for (const std::size_t r : train_rows) m.add(y[r]);
-    base_score_ = m.mean();
+    base_score = m.mean();
   }
-  std::vector<double> pred(n, base_score_);
+  forest_ = CompiledForest(num_features, base_score);
+  std::vector<double> pred(n, base_score);
   std::vector<double> resid(n);
   for (std::size_t r = 0; r < n; ++r) resid[r] = y[r] - pred[r];
 
@@ -337,12 +327,11 @@ void GbdtRegressor::fit(const linalg::Matrix& x, std::span<const double> y) {
     if (options_.feature_subsample < 1.0) {
       util::Rng feature_rng(seeds[t].features);
       const std::size_t take =
-          sample_count(options_.feature_subsample, num_inputs_);
-      engine_config.feature_active = pick_mask(feature_rng, num_inputs_, take);
+          sample_count(options_.feature_subsample, num_features);
+      engine_config.feature_active = pick_mask(feature_rng, num_features, take);
     }
     TreeGrowthEngine engine(x, resid, std::move(rows_t), engine_config);
-    trees_.push_back(grow_tree(engine));
-    const Tree& tree = trees_.back();
+    forest_.add_tree(grow_tree(engine), 0);
 
     // Update predictions/residuals for every row (holdout included) —
     // per-row independent writes, so fanning the blocks out is bitwise
@@ -353,7 +342,7 @@ void GbdtRegressor::fit(const linalg::Matrix& x, std::span<const double> y) {
       const std::size_t begin = b * kBlock;
       const std::size_t end = std::min(n, begin + kBlock);
       for (std::size_t r = begin; r < end; ++r) {
-        pred[r] += tree_value(tree, x.row(r).data());
+        pred[r] += forest_.tree_leaf(t, x.row(r).data());
         resid[r] = y[r] - pred[r];
       }
     };
@@ -380,22 +369,18 @@ void GbdtRegressor::fit(const linalg::Matrix& x, std::span<const double> y) {
       }
     }
   }
-  if (use_holdout && best_round + 1 < trees_.size()) {
-    trees_.resize(best_round + 1);
-  }
+  if (use_holdout) forest_.truncate(best_round + 1);
   fitted_ = true;
 }
 
 double GbdtRegressor::predict_row(std::span<const double> row) const {
   check_predict_args(row);
-  double acc = base_score_;
-  for (const Tree& tree : trees_) acc += tree_value(tree, row.data());
-  return acc;
+  return forest_.predict_row(row.data());
 }
 
 std::vector<double> GbdtRegressor::predict(const linalg::Matrix& x) const {
   if (!fitted_) throw std::logic_error("Regressor: predict before fit");
-  if (x.cols() != num_inputs_) {
+  if (x.cols() != num_inputs()) {
     throw std::invalid_argument("Regressor: input width mismatch");
   }
   static obs::Histogram& predict_hist = obs::Registry::global().histogram(
@@ -403,82 +388,19 @@ std::vector<double> GbdtRegressor::predict(const linalg::Matrix& x) const {
       "Batched model prediction wall-clock time.",
       obs::Histogram::default_latency_bounds(), "model=\"gbdt\"");
   const obs::ScopedTimer predict_timer(predict_hist);
-  // Tree-major within a row block: each tree's nodes stay hot across the
-  // block, while every row still accumulates base + trees in boosting
-  // order — bit-identical to predict_row.
-  constexpr std::size_t kBlock = 256;
-  std::vector<double> out(x.rows(), base_score_);
-  for (std::size_t begin = 0; begin < x.rows(); begin += kBlock) {
-    const std::size_t end = std::min(x.rows(), begin + kBlock);
-    for (const Tree& tree : trees_) {
-      for (std::size_t r = begin; r < end; ++r) {
-        out[r] += tree_value(tree, x.row(r).data());
-      }
-    }
-  }
+  std::vector<double> out(x.rows());
+  forest_.predict(x, out);
   return out;
 }
 
 void GbdtRegressor::save(util::BinaryWriter& writer) const {
   if (!fitted_) throw std::logic_error("GbdtRegressor::save before fit");
-  writer.write_u64(num_inputs_);
-  writer.write_double(base_score_);
-  writer.write_u64(trees_.size());
-  for (const Tree& tree : trees_) {
-    std::vector<std::uint64_t> features;
-    std::vector<double> thresholds;
-    std::vector<double> values;
-    std::vector<std::uint64_t> lefts;
-    std::vector<std::uint64_t> rights;
-    features.reserve(tree.nodes.size());
-    for (const Node& node : tree.nodes) {
-      features.push_back(node.feature);
-      thresholds.push_back(node.threshold);
-      values.push_back(node.value);
-      lefts.push_back(node.left);
-      rights.push_back(node.right);
-    }
-    writer.write_u64s(features);
-    writer.write_doubles(thresholds);
-    writer.write_doubles(values);
-    writer.write_u64s(lefts);
-    writer.write_u64s(rights);
-  }
+  forest_.save(writer);
 }
 
 std::unique_ptr<GbdtRegressor> GbdtRegressor::load(util::BinaryReader& reader) {
   auto model = std::make_unique<GbdtRegressor>();
-  model->num_inputs_ = reader.read_u64();
-  model->base_score_ = reader.read_double();
-  const std::uint64_t num_trees = reader.read_u64();
-  model->trees_.resize(num_trees);
-  for (Tree& tree : model->trees_) {
-    const auto features = reader.read_u64s();
-    const auto thresholds = reader.read_doubles();
-    const auto values = reader.read_doubles();
-    const auto lefts = reader.read_u64s();
-    const auto rights = reader.read_u64s();
-    const std::size_t count = features.size();
-    if (thresholds.size() != count || values.size() != count ||
-        lefts.size() != count || rights.size() != count || count == 0) {
-      throw std::runtime_error("GbdtRegressor::load: inconsistent archive");
-    }
-    tree.nodes.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      Node& node = tree.nodes[i];
-      node.feature = features[i];
-      node.threshold = thresholds[i];
-      node.value = values[i];
-      node.left = lefts[i];
-      node.right = rights[i];
-      const bool left_leaf = node.left == kNoNode;
-      const bool right_leaf = node.right == kNoNode;
-      if (left_leaf != right_leaf ||
-          (!left_leaf && (node.left >= count || node.right >= count))) {
-        throw std::runtime_error("GbdtRegressor::load: corrupt tree links");
-      }
-    }
-  }
+  model->forest_ = CompiledForest::load(reader);
   model->fitted_ = true;
   return model;
 }

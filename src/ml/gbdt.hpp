@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "ml/forest.hpp"
 #include "ml/model.hpp"
 #include "ml/tree_common.hpp"
 
@@ -75,14 +76,18 @@ class GbdtRegressor : public Regressor {
       const linalg::Matrix& x) const override;
   [[nodiscard]] std::string name() const override { return "gbdt"; }
   [[nodiscard]] bool is_fitted() const override { return fitted_; }
-  [[nodiscard]] std::size_t num_inputs() const override { return num_inputs_; }
+  [[nodiscard]] std::size_t num_inputs() const override {
+    return forest_.num_inputs();
+  }
   void save(util::BinaryWriter& writer) const override;
   static std::unique_ptr<GbdtRegressor> load(util::BinaryReader& reader);
 
   [[nodiscard]] const GbdtOptions& options() const { return options_; }
   /// Trees kept after early-stopping truncation.
-  [[nodiscard]] std::size_t num_trees() const { return trees_.size(); }
-  [[nodiscard]] double base_score() const { return base_score_; }
+  [[nodiscard]] std::size_t num_trees() const { return forest_.num_trees(); }
+  /// The boosted trees, compiled; the forest's base is base_score().
+  [[nodiscard]] const CompiledForest& forest() const { return forest_; }
+  [[nodiscard]] double base_score() const { return forest_.base(); }
   /// Training MSE after each fitted round (recorded before any
   /// early-stopping truncation, so its length can exceed num_trees()).
   [[nodiscard]] const std::vector<double>& loss_history() const {
@@ -94,27 +99,13 @@ class GbdtRegressor : public Regressor {
   static BinningCacheStats binning_cache_stats();
 
  private:
-  struct Node {
-    std::size_t feature = 0;
-    double threshold = 0.0;
-    double value = 0.0;  ///< Leaf value, pre-scaled by the learning rate.
-    std::size_t left = kNoNode;
-    std::size_t right = kNoNode;
-    [[nodiscard]] bool is_leaf() const { return left == kNoNode; }
-  };
-  struct Tree {
-    std::vector<Node> nodes;  ///< Root at index 0.
-  };
-
-  [[nodiscard]] Tree grow_tree(TreeGrowthEngine& engine) const;
-  /// Leaf value of one tree for a row (root at node 0).
-  [[nodiscard]] static double tree_value(const Tree& tree, const double* row);
+  /// Grows one round's tree; leaf values carry the shrinkage already.
+  [[nodiscard]] std::vector<CompiledForest::BuildNode> grow_tree(
+      TreeGrowthEngine& engine) const;
 
   GbdtOptions options_;
-  std::vector<Tree> trees_;
-  double base_score_ = 0.0;
+  CompiledForest forest_;
   std::vector<double> loss_history_;
-  std::size_t num_inputs_ = 0;
   bool fitted_ = false;
 };
 

@@ -46,7 +46,8 @@ RepTree::RepTree(RepTreeOptions options) : options_(options) {
   }
 }
 
-std::size_t RepTree::build(TreeGrowthEngine& engine, double root_variance) {
+std::size_t RepTree::build(TreeGrowthEngine& engine, double root_variance,
+                           std::vector<BuildNode>& nodes) const {
   // Explicit work stack: right child pushed first so the left subtree is
   // finished before the right one starts, reproducing the recursive
   // preorder node numbering exactly — without call-stack depth limits.
@@ -62,17 +63,16 @@ std::size_t RepTree::build(TreeGrowthEngine& engine, double root_variance) {
     const Task task = stack.back();
     stack.pop_back();
     const Moments moments = engine.moments(task.enode);
-    Node node;
+    BuildNode node;
     node.value = moments.mean();
-    node.grow_count = static_cast<double>(moments.count);
-    const std::size_t node_id = nodes_.size();
-    nodes_.push_back(node);
+    const std::size_t node_id = nodes.size();
+    nodes.push_back(node);
     if (task.parent == kNoNode) {
       root_id = node_id;
     } else if (task.is_left) {
-      nodes_[task.parent].left = node_id;
+      nodes[task.parent].left = node_id;
     } else {
-      nodes_[task.parent].right = node_id;
+      nodes[task.parent].right = node_id;
     }
 
     const bool depth_ok =
@@ -95,15 +95,16 @@ std::size_t RepTree::build(TreeGrowthEngine& engine, double root_variance) {
       continue;
     }
     const auto [left, right] = engine.apply_split(task.enode, split);
-    nodes_[node_id].feature = split.feature;
-    nodes_[node_id].threshold = split.threshold;
+    nodes[node_id].feature = split.feature;
+    nodes[node_id].threshold = split.threshold;
     stack.push_back({right, task.depth + 1, node_id, false});
     stack.push_back({left, task.depth + 1, node_id, true});
   }
   return root_id;
 }
 
-double RepTree::prune_subtree(std::size_t root_id, const linalg::Matrix& x,
+double RepTree::prune_subtree(std::vector<BuildNode>& nodes,
+                              std::size_t root_id, const linalg::Matrix& x,
                               std::span<const double> y,
                               const std::vector<std::size_t>& prune_rows) {
   // Post-order explicit-stack traversal (deep unpruned trees would
@@ -129,7 +130,7 @@ double RepTree::prune_subtree(std::size_t root_id, const linalg::Matrix& x,
   double returned = 0.0;
   while (!stack.empty()) {
     Frame& frame = stack.back();
-    Node& node = nodes_[frame.node];
+    BuildNode& node = nodes[frame.node];
     if (frame.stage == 0) {
       for (std::size_t i = frame.begin; i < frame.end; ++i) {
         const double err = y[work[i]] - node.value;
@@ -162,8 +163,7 @@ double RepTree::prune_subtree(std::size_t root_id, const linalg::Matrix& x,
     if (frame.leaf_sse <= frame.child_sse) {
       // Reduced-error pruning: the split does not pay for itself on unseen
       // data; collapse. (Children stay in the node pool but are
-      // unreachable; serialization walks from the root so they are dropped
-      // on save.)
+      // unreachable; compiling walks from the root so they are dropped.)
       node.left = kNoNode;
       node.right = kNoNode;
       returned = frame.leaf_sse;
@@ -183,9 +183,7 @@ void RepTree::fit(const linalg::Matrix& x, std::span<const double> y) {
       "Tree-learner fit wall-clock time (growth engine).",
       obs::Histogram::default_latency_bounds(), "model=\"reptree\"");
   const obs::ScopedTimer fit_timer(fit_hist);
-  nodes_.clear();
-  root_ = kNoNode;
-  num_inputs_ = x.cols();
+  fitted_ = false;
 
   const std::size_t n = x.rows();
   std::vector<std::size_t> grow_rows;
@@ -219,23 +217,29 @@ void RepTree::fit(const linalg::Matrix& x, std::span<const double> y) {
       root_moments.count == 0
           ? 0.0
           : root_moments.sse() / static_cast<double>(root_moments.count);
-  root_ = build(engine, root_variance);
+  // The build nodes live only for the fit: grow, prune and backfit edit
+  // them, then the tree is compiled and they are dropped.
+  std::vector<BuildNode> nodes;
+  const std::size_t root = build(engine, root_variance, nodes);
   std::vector<std::size_t> all_rows(n);
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
   if (can_prune) {
-    prune_subtree(root_, x, y, prune_rows);
+    prune_subtree(nodes, root, x, y, prune_rows);
   }
   importances_.assign(x.cols(), 0.0);
-  backfit_and_importances(root_, x, y, all_rows, can_prune);
+  backfit_and_importances(nodes, root, x, y, all_rows, can_prune);
   double total = 0.0;
   for (double v : importances_) total += v;
   if (total > 0.0) {
     for (double& v : importances_) v /= total;
   }
+  forest_ = CompiledForest(x.cols(), -0.0);
+  forest_.add_tree(nodes, root);
   fitted_ = true;
 }
 
-void RepTree::backfit_and_importances(std::size_t root_id,
+void RepTree::backfit_and_importances(std::vector<BuildNode>& nodes,
+                                      std::size_t root_id,
                                       const linalg::Matrix& x,
                                       std::span<const double> y,
                                       const std::vector<std::size_t>& rows,
@@ -263,7 +267,7 @@ void RepTree::backfit_and_importances(std::size_t root_id,
   double returned = 0.0;
   while (!stack.empty()) {
     Frame& frame = stack.back();
-    Node& node = nodes_[frame.node];
+    BuildNode& node = nodes[frame.node];
     if (frame.stage == 0) {
       Moments moments;
       for (std::size_t i = frame.begin; i < frame.end; ++i) {
@@ -305,140 +309,30 @@ void RepTree::backfit_and_importances(std::size_t root_id,
 
 double RepTree::predict_row(std::span<const double> row) const {
   check_predict_args(row);
-  std::size_t node_id = root_;
-  while (!nodes_[node_id].is_leaf()) {
-    const Node& node = nodes_[node_id];
-    node_id = row[node.feature] <= node.threshold ? node.left : node.right;
-  }
-  return nodes_[node_id].value;
+  return forest_.predict_row(row.data());
 }
 
 std::vector<double> RepTree::predict(const linalg::Matrix& x) const {
   if (!fitted_) throw std::logic_error("Regressor: predict before fit");
-  if (x.cols() != num_inputs_) {
+  if (x.cols() != num_inputs()) {
     throw std::invalid_argument("Regressor: input width mismatch");
   }
   std::vector<double> out(x.rows());
-  const Node* nodes = nodes_.data();
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const double* row = x.row(r).data();
-    std::size_t id = root_;
-    while (nodes[id].left != kNoNode) {
-      const Node& node = nodes[id];
-      id = row[node.feature] <= node.threshold ? node.left : node.right;
-    }
-    out[r] = nodes[id].value;
-  }
+  forest_.predict(x, out);
   return out;
-}
-
-std::size_t RepTree::num_leaves() const {
-  if (root_ == kNoNode) return 0;
-  std::size_t count = 0;
-  std::vector<std::size_t> stack{root_};
-  while (!stack.empty()) {
-    const std::size_t id = stack.back();
-    stack.pop_back();
-    if (nodes_[id].is_leaf()) {
-      ++count;
-    } else {
-      stack.push_back(nodes_[id].left);
-      stack.push_back(nodes_[id].right);
-    }
-  }
-  return count;
-}
-
-std::size_t RepTree::subtree_depth(std::size_t node_id) const {
-  // Iterative: track (node, depth) pairs and take the maximum leaf depth.
-  std::size_t max_depth = 0;
-  std::vector<std::pair<std::size_t, std::size_t>> stack{{node_id, 0}};
-  while (!stack.empty()) {
-    const auto [id, depth] = stack.back();
-    stack.pop_back();
-    if (nodes_[id].is_leaf()) {
-      max_depth = std::max(max_depth, depth);
-    } else {
-      stack.push_back({nodes_[id].left, depth + 1});
-      stack.push_back({nodes_[id].right, depth + 1});
-    }
-  }
-  return max_depth;
-}
-
-std::size_t RepTree::depth() const {
-  return root_ == kNoNode ? 0 : subtree_depth(root_);
 }
 
 void RepTree::save(util::BinaryWriter& writer) const {
   if (!fitted_) throw std::logic_error("RepTree::save before fit");
-  writer.write_u64(num_inputs_);
-  // Emit reachable nodes in preorder with re-numbered child links.
-  std::vector<std::uint64_t> features;
-  std::vector<double> thresholds;
-  std::vector<double> values;
-  std::vector<std::uint64_t> lefts;
-  std::vector<std::uint64_t> rights;
-  struct Frame {
-    std::size_t node;
-    std::size_t parent_slot;  // index into lefts/rights to patch, or npos
-    bool is_left;
-  };
-  std::vector<Frame> stack{{root_, kNoNode, false}};
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    const Node& node = nodes_[frame.node];
-    const std::size_t new_id = features.size();
-    if (frame.parent_slot != kNoNode) {
-      (frame.is_left ? lefts : rights)[frame.parent_slot] = new_id;
-    }
-    features.push_back(node.feature);
-    thresholds.push_back(node.threshold);
-    values.push_back(node.value);
-    lefts.push_back(kNoNode);
-    rights.push_back(kNoNode);
-    if (!node.is_leaf()) {
-      stack.push_back({node.right, new_id, false});
-      stack.push_back({node.left, new_id, true});
-    }
-  }
-  writer.write_u64s(features);
-  writer.write_doubles(thresholds);
-  writer.write_doubles(values);
-  writer.write_u64s(lefts);
-  writer.write_u64s(rights);
+  forest_.save(writer);
 }
 
 std::unique_ptr<RepTree> RepTree::load(util::BinaryReader& reader) {
   auto model = std::make_unique<RepTree>();
-  model->num_inputs_ = reader.read_u64();
-  const auto features = reader.read_u64s();
-  const auto thresholds = reader.read_doubles();
-  const auto values = reader.read_doubles();
-  const auto lefts = reader.read_u64s();
-  const auto rights = reader.read_u64s();
-  const std::size_t count = features.size();
-  if (thresholds.size() != count || values.size() != count ||
-      lefts.size() != count || rights.size() != count || count == 0) {
-    throw std::runtime_error("RepTree::load: inconsistent archive");
+  model->forest_ = CompiledForest::load(reader);
+  if (model->forest_.num_trees() != 1) {
+    throw std::runtime_error("RepTree::load: archive is not a single tree");
   }
-  model->nodes_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Node& node = model->nodes_[i];
-    node.feature = features[i];
-    node.threshold = thresholds[i];
-    node.value = values[i];
-    node.left = lefts[i];
-    node.right = rights[i];
-    const bool left_leaf = node.left == kNoNode;
-    const bool right_leaf = node.right == kNoNode;
-    if (left_leaf != right_leaf ||
-        (!left_leaf && (node.left >= count || node.right >= count))) {
-      throw std::runtime_error("RepTree::load: corrupt tree links");
-    }
-  }
-  model->root_ = 0;
   model->fitted_ = true;
   return model;
 }

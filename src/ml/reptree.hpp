@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ml/forest.hpp"
 #include "ml/model.hpp"
 #include "ml/tree_common.hpp"
 
@@ -42,22 +43,31 @@ class RepTree final : public Regressor {
 
   void fit(const linalg::Matrix& x, std::span<const double> y) override;
   [[nodiscard]] double predict_row(std::span<const double> row) const override;
-  /// Batched prediction: one tight traversal loop over the flat node array
-  /// for the whole matrix (exactly matches predict_row per row).
+  /// Batched prediction through the compiled forest's lockstep kernel
+  /// (exactly matches predict_row per row).
   [[nodiscard]] std::vector<double> predict(
       const linalg::Matrix& x) const override;
   [[nodiscard]] std::string name() const override { return "reptree"; }
   [[nodiscard]] bool is_fitted() const override { return fitted_; }
-  [[nodiscard]] std::size_t num_inputs() const override { return num_inputs_; }
+  [[nodiscard]] std::size_t num_inputs() const override {
+    return forest_.num_inputs();
+  }
   void save(util::BinaryWriter& writer) const override;
   static std::unique_ptr<RepTree> load(util::BinaryReader& reader);
 
   [[nodiscard]] const RepTreeOptions& options() const { return options_; }
 
   /// Diagnostics: node/leaf counts and depth of the fitted tree.
-  [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
-  [[nodiscard]] std::size_t num_leaves() const;
-  [[nodiscard]] std::size_t depth() const;
+  [[nodiscard]] std::size_t num_nodes() const { return forest_.num_nodes(); }
+  [[nodiscard]] std::size_t num_leaves() const {
+    return forest_.leaves().size();
+  }
+  [[nodiscard]] std::size_t depth() const {
+    return forest_.num_trees() == 0 ? 0 : forest_.trees()[0].depth;
+  }
+  /// The fitted tree as a one-tree forest (base -0.0, the additive
+  /// identity, so a prediction is the leaf value bit for bit).
+  [[nodiscard]] const CompiledForest& forest() const { return forest_; }
 
   /// Split-gain feature importances: for each input column, the total
   /// training-SSE reduction attributed to splits on it in the final
@@ -69,42 +79,33 @@ class RepTree final : public Regressor {
   }
 
  private:
-  struct Node {
-    std::size_t feature = 0;
-    double threshold = 0.0;
-    std::size_t left = kNoNode;
-    std::size_t right = kNoNode;
-    double value = 0.0;        ///< Prediction when used as a leaf.
-    double grow_count = 0.0;   ///< Grow-set rows that reached the node.
-
-    [[nodiscard]] bool is_leaf() const { return left == kNoNode; }
-  };
+  using BuildNode = CompiledForest::BuildNode;
 
   /// Grows the tree from the engine's root node with an explicit work
   /// stack (preorder node ids, no call-stack recursion) and returns the
   /// root id.
-  std::size_t build(TreeGrowthEngine& engine, double root_variance);
+  std::size_t build(TreeGrowthEngine& engine, double root_variance,
+                    std::vector<BuildNode>& nodes) const;
   /// Returns the prune-set SSE of the subtree; collapses nodes where the
   /// node-as-leaf SSE is no worse. Explicit-stack post-order traversal.
-  double prune_subtree(std::size_t node_id, const linalg::Matrix& x,
-                       std::span<const double> y,
-                       const std::vector<std::size_t>& prune_rows);
+  static double prune_subtree(std::vector<BuildNode>& nodes,
+                              std::size_t node_id, const linalg::Matrix& x,
+                              std::span<const double> y,
+                              const std::vector<std::size_t>& prune_rows);
   /// One post-order walk of the final tree with the full training data
   /// that both backfits node values (WEKA's re-estimation from grow +
   /// prune rows; skipped when `update_values` is false) and accumulates
   /// the per-feature SSE reductions into importances_ — the two passes
   /// partition the same rows down the same tree, so they are fused.
-  void backfit_and_importances(std::size_t node_id, const linalg::Matrix& x,
+  void backfit_and_importances(std::vector<BuildNode>& nodes,
+                               std::size_t node_id, const linalg::Matrix& x,
                                std::span<const double> y,
                                const std::vector<std::size_t>& rows,
                                bool update_values);
-  [[nodiscard]] std::size_t subtree_depth(std::size_t node_id) const;
 
   RepTreeOptions options_;
-  std::vector<Node> nodes_;
+  CompiledForest forest_;
   std::vector<double> importances_;
-  std::size_t root_ = kNoNode;
-  std::size_t num_inputs_ = 0;
   bool fitted_ = false;
 };
 

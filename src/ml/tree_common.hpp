@@ -1,7 +1,9 @@
-// Machinery shared by the tree learners (REP-Tree, M5P, bagged ensembles):
-// flat node storage (index-linked, serialization-friendly), the naive
+// Machinery shared by the tree learners (REP-Tree, M5P, bagged ensembles,
+// GBDT): the kNoNode child sentinel of index-linked build nodes, the naive
 // exhaustive split search kept as the equivalence reference, and the
 // presort/histogram tree-growth engine the learners actually train with.
+// The fitted constant-leaf trees are compiled into ml::CompiledForest
+// (forest.hpp).
 #pragma once
 
 #include <array>

@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/online.hpp"
@@ -24,8 +26,10 @@
 #include "linalg/matrix.hpp"
 #include "ml/cascade.hpp"
 #include "ml/linear_regression.hpp"
+#include "ml/registry.hpp"
 #include "net/protocol.hpp"
 #include "serve/arena.hpp"
+#include "util/config.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -194,6 +198,59 @@ TEST(HotPathAlloc, CascadeScreenPathSteadyStateIsAllocationFree) {
   EXPECT_EQ(global_news(), news_before)
       << "cascade screen/promote path allocated per window";
   EXPECT_EQ(arena.allocations(), arena_before);
+}
+
+/// Fits registry model `name` on a random full-width design whose targets
+/// (0..100 s) sit well inside a cascade's 600 s horizon, then runs warm
+/// predict_row loops and returns the heap allocations they made.
+std::uint64_t predict_row_allocations(const std::string& name,
+                                      const util::Config& params,
+                                      std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::size_t rows = 8 * data::kInputCount;
+  linalg::Matrix x(rows, data::kInputCount);
+  std::vector<double> y(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < data::kInputCount; ++c) {
+      x(r, c) = rng.uniform(-1.0, 1.0);
+    }
+    y[r] = 50.0 + 40.0 * x(r, 0) + 5.0 * x(r, 1) * x(r, 2);
+  }
+  const auto model = ml::make_model(name, params);
+  model->fit(x, y);
+  if (const auto* cascade =
+          dynamic_cast<const ml::CascadeRegressor*>(model.get())) {
+    EXPECT_TRUE(cascade->predict_row_traced(x.row(0)).promoted);
+  }
+  double sink = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) sink += model->predict_row(x.row(r));
+  const std::uint64_t news_before = global_news();
+  for (int pass = 0; pass < 20; ++pass) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      sink += model->predict_row(x.row(r));
+    }
+  }
+  const std::uint64_t news = global_news() - news_before;
+  EXPECT_TRUE(std::isfinite(sink));
+  return news;
+}
+
+TEST(HotPathAlloc, TreeModelPredictRowIsAllocationFree) {
+  util::Config bagging;
+  bagging.set("bagging.num_trees", "11");
+  EXPECT_EQ(predict_row_allocations("gbdt", {}, 51), 0u) << "gbdt";
+  EXPECT_EQ(predict_row_allocations("reptree", {}, 52), 0u) << "reptree";
+  EXPECT_EQ(predict_row_allocations("bagging", bagging, 53), 0u)
+      << "bagging";
+}
+
+TEST(HotPathAlloc, CascadeWithGbdtFullStageIsAllocationFree) {
+  // Every target is inside the horizon, so every row is promoted to the
+  // gbdt full stage.
+  util::Config params;
+  params.set("cascade.full", "gbdt");
+  params.set("cascade.horizon_seconds", "600");
+  EXPECT_EQ(predict_row_allocations("cascade", params, 54), 0u);
 }
 
 TEST(HotPathAlloc, FrameEncoderIntoWarmBufferIsAllocationFree) {

@@ -8,16 +8,25 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "data/aggregation.hpp"
 #include "linalg/matrix.hpp"
+#include "ml/forest.hpp"
 #include "ml/model.hpp"
 #include "ml/registry.hpp"
+#include "obs/metrics.hpp"
+#include "serve/model_store.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
+#include "util/serialization.hpp"
 
 namespace f2pm::ml {
 namespace {
@@ -209,6 +218,156 @@ TEST_P(ModelRoundTripProperty, ReloadedModelIsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelRoundTripProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// --- Hand-crafted tree archives ----------------------------------------------
+
+/// The fields of a forest archive (format version 1), written in order
+/// after the model tag. Links are tree-local: j >= 0 names split j of the
+/// same tree, ~i names leaf i.
+struct ForestArchive {
+  std::uint64_t format =
+      CompiledForest::kArchiveMagic | CompiledForest::kArchiveVersion;
+  std::uint64_t num_inputs = 2;
+  double base = 0.0;
+  std::vector<std::uint64_t> split_counts{2};
+  std::vector<std::uint64_t> leaf_counts{3};
+  std::vector<std::uint64_t> features{0, 1};
+  std::vector<double> thresholds{0.5, 1.0};
+  // split 0: x0 <= 0.5 ? split 1 : leaf 2; split 1: x1 <= 1 ? leaf 0 : leaf 1.
+  std::vector<std::int64_t> lefts{1, ~0};
+  std::vector<std::int64_t> rights{~2, ~1};
+  std::vector<double> leaves{10.0, 20.0, 30.0};
+
+  [[nodiscard]] std::string encode(const std::string& tag) const {
+    std::ostringstream out;
+    util::BinaryWriter writer(out);
+    writer.write_string(tag);
+    writer.write_u64(format);
+    writer.write_u64(num_inputs);
+    writer.write_double(base);
+    writer.write_u64s(split_counts);
+    writer.write_u64s(leaf_counts);
+    writer.write_u64s(features);
+    writer.write_doubles(thresholds);
+    writer.write_u64s({lefts.begin(), lefts.end()});
+    writer.write_u64s({rights.begin(), rights.end()});
+    writer.write_doubles(leaves);
+    return out.str();
+  }
+};
+
+std::unique_ptr<Regressor> load_bytes(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return load_model(in);
+}
+
+const char* const kTreeTags[] = {"reptree", "bagging", "gbdt"};
+
+TEST(ForestArchive, WellFormedArchiveLoadsForEveryTreeModel) {
+  const ForestArchive archive;
+  for (const char* tag : kTreeTags) {
+    SCOPED_TRACE(tag);
+    const auto model = load_bytes(archive.encode(tag));
+    EXPECT_EQ(model->name(), tag);
+    EXPECT_EQ(model->num_inputs(), 2u);
+    EXPECT_EQ(model->predict_row(std::vector<double>{0.0, 0.0}), 10.0);
+    EXPECT_EQ(model->predict_row(std::vector<double>{0.5, 2.0}), 20.0);
+    EXPECT_EQ(model->predict_row(std::vector<double>{0.7, 0.0}), 30.0);
+  }
+}
+
+/// Broken variants of the well-formed archive, each of which the codec
+/// must reject before any prediction can read past a row or loop forever.
+std::vector<std::pair<std::string, ForestArchive>> broken_archives() {
+  std::vector<std::pair<std::string, ForestArchive>> cases;
+  const auto add = [&cases](const std::string& what,
+                            const std::function<void(ForestArchive&)>& edit) {
+    ForestArchive archive;
+    edit(archive);
+    cases.emplace_back(what, archive);
+  };
+  add("self-loop", [](ForestArchive& a) { a.lefts[0] = 0; });
+  add("back edge", [](ForestArchive& a) { a.lefts[1] = 0; });
+  add("link past the tree", [](ForestArchive& a) { a.lefts[0] = 2; });
+  add("shared child", [](ForestArchive& a) { a.rights[0] = ~0; });
+  add("leaf out of range", [](ForestArchive& a) { a.rights[0] = ~3; });
+  add("out-of-range feature", [](ForestArchive& a) { a.features[1] = 2; });
+  add("leaf/split mismatch", [](ForestArchive& a) {
+    a.leaf_counts = {2};
+    a.leaves = {10.0, 20.0};
+  });
+  add("array length mismatch", [](ForestArchive& a) { a.thresholds = {0.5}; });
+  add("32-bit overflow", [](ForestArchive& a) {
+    a.split_counts = {std::uint64_t{1} << 31};
+    a.leaf_counts = {(std::uint64_t{1} << 31) + 1};
+  });
+  add("unknown version", [](ForestArchive& a) { a.format += 1; });
+  add("not a forest", [](ForestArchive& a) { a.format = 2; });
+  add("no trees", [](ForestArchive& a) {
+    a.split_counts.clear();
+    a.leaf_counts.clear();
+  });
+  return cases;
+}
+
+TEST(ForestArchive, CorruptArchivesAreRejected) {
+  for (const auto& [what, archive] : broken_archives()) {
+    for (const char* tag : kTreeTags) {
+      SCOPED_TRACE(what + " as " + tag);
+      EXPECT_THROW(load_bytes(archive.encode(tag)), std::runtime_error);
+    }
+  }
+}
+
+TEST(ForestArchive, TruncatedBodyIsRejected) {
+  for (const char* tag : kTreeTags) {
+    const std::string bytes = ForestArchive{}.encode(tag);
+    for (const std::size_t cut : {bytes.size() - 1, bytes.size() / 2,
+                                  bytes.size() - 8 * 3 - 8}) {
+      SCOPED_TRACE(std::string(tag) + " cut at " + std::to_string(cut));
+      EXPECT_THROW(load_bytes(bytes.substr(0, cut)), std::runtime_error);
+    }
+  }
+}
+
+TEST(ForestArchive, ModelStoreKeepsOldVersionOnCyclicArchive) {
+  // A hot swap to a cyclic tree must fail at load, never reach a scoring
+  // thread: the store keeps its model and counts the failure.
+  const auto failures = [] {
+    const auto snap =
+        obs::Registry::global().find("f2pm_serve_swap_failures_total");
+    return snap ? static_cast<std::uint64_t>(snap->value) : 0u;
+  };
+  linalg::Matrix x(40, data::kInputCount);
+  std::vector<double> y(40);
+  util::Rng rng(5);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 0; c < x.cols(); ++c) x(r, c) = rng.uniform(0, 1);
+    y[r] = 100.0 * x(r, 0);
+  }
+  std::shared_ptr<Regressor> good = make_model("gbdt");
+  good->fit(x, y);
+  serve::ModelStore store;
+  store.swap(good);
+  ASSERT_EQ(store.version(), 1u);
+  const auto live = store.current();
+
+  ForestArchive cyclic;
+  cyclic.num_inputs = data::kInputCount;
+  cyclic.lefts[1] = 0;  // split 1 -> split 0 -> split 1 -> ...
+  const std::string path = testing::TempDir() + "/cyclic_forest.bin";
+  {
+    const std::string bytes = cyclic.encode("gbdt");
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const std::uint64_t before = failures();
+  EXPECT_THROW(store.load_file(path), std::runtime_error);
+  EXPECT_EQ(failures(), before + 1);
+  EXPECT_EQ(store.version(), 1u);
+  EXPECT_EQ(store.current(), live);
+  std::remove(path.c_str());
+}
 
 }  // namespace
 }  // namespace f2pm::ml
